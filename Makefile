@@ -74,8 +74,9 @@ bench-compare:
 	sh scripts/bench-compare.sh results/BENCH_baseline.json results/BENCH_pr.json
 
 # Fuzz smoke: 30s per fuzz target over the parsers that guard on-disk and
-# operator input (ref keys, SLO specs). Regression corpora run in `make
-# test`; this step searches for new inputs.
+# operator input (ref keys, chunk maps, SLO specs). Regression corpora run
+# in `make test`; this step searches for new inputs.
 fuzz-smoke:
 	go test -run NONE -fuzz FuzzRefKeyRoundTrip -fuzztime 30s ./internal/core
+	go test -run NONE -fuzz FuzzChunkMapRoundTrip -fuzztime 30s ./internal/core
 	go test -run NONE -fuzz FuzzParseSLO -fuzztime 30s ./internal/gateway

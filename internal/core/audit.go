@@ -12,8 +12,8 @@ import (
 // Cross-pool audit: the forward direction of reference reconciliation. GC
 // walks chunk → chunkmap (a recorded reference whose binding is gone is
 // stale); the audit walks chunkmap → chunk (a binding whose reference was
-// never committed — a crash between phase 2 and phase 3 of the flush
-// protocol — is repaired by promoting the surviving intent, or re-adding
+// never committed — a crash between the bind and commit steps of the
+// reference transfer protocol (rebind.go) — is repaired by promoting the surviving intent, or re-adding
 // the committed reference outright). A binding whose chunk object does not
 // exist at all is unrecoverable data loss and is reported, not repaired.
 //
@@ -69,8 +69,8 @@ func auditBindingFn(ref Ref, promoted, repaired, fixed *bool) rados.MutateFn {
 			}
 			*fixed = true
 		case hasIntent:
-			// Crash between bind and commit: finish phase 3 on the flush's
-			// behalf (idempotent with a late commitIntentFn).
+			// Crash between bind and commit: finish the commit on the
+			// transfer's behalf (idempotent with a late commitIntentFn).
 			txn.OmapRm(ref.IntentKey())
 			if !hasRef {
 				txn.OmapSet(ref.Key(), nil)

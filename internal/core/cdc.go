@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"dedupstore/internal/qos"
@@ -26,26 +25,14 @@ import (
 // references, leaving the object dirty for the next cycle — the same
 // convergence argument as §4.6.
 
-// flushObjectCDC deduplicates one object with content-defined chunking. It
-// returns the number of chunks the flush processed (for QoS cost billing)
-// along with any error.
-func (e *Engine) flushObjectCDC(p *sim.Proc, gw *rados.Gateway, hostName, oid string) (int, error) {
+// flushObjectCDC deduplicates one object, whose chunk map cm the caller
+// read, with content-defined chunking. It returns the number of chunks the
+// flush processed (for QoS cost billing) and whether the object needs
+// another cycle: raced is set when a client write invalidated the flush.
+func (e *Engine) flushObjectCDC(p *sim.Proc, gw *rados.Gateway, hostName, oid string, cm *ChunkMap) (n int, raced bool, err error) {
 	s := e.s
-	cdc := s.cfg.CDC
-	if cdc == nil {
-		return 0, errors.New("core: CDC flush without CDC config")
-	}
-
-	raw, err := gw.GetXattr(p, s.meta, oid, XattrChunkMap)
-	if err != nil {
-		return 0, nil // deleted meanwhile
-	}
-	cm, err := UnmarshalChunkMap(raw)
-	if err != nil {
-		return 0, err
-	}
 	if len(cm.DirtyEntries()) == 0 {
-		return 0, nil
+		return 0, false, nil
 	}
 	size := cm.Size()
 
@@ -63,7 +50,7 @@ func (e *Engine) flushObjectCDC(p *sim.Proc, gw *rados.Gateway, hostName, oid st
 			continue
 		}
 		if err != nil {
-			return 0, fmt.Errorf("core: cdc materialize %s@%d: %w", oid, entry.Start, err)
+			return 0, false, fmt.Errorf("core: cdc materialize %s@%d: %w", oid, entry.Start, err)
 		}
 		copy(data[entry.Start:], seg)
 	}
@@ -72,59 +59,47 @@ func (e *Engine) flushObjectCDC(p *sim.Proc, gw *rados.Gateway, hostName, oid st
 	// fingerprinting (the expense the paper avoids, §5).
 	cost := s.cluster.Cost()
 	if err := s.cluster.UseHostCPU(p, hostName, cost.Hash(len(data))+cost.Hash(len(data))/2); err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	chunks := cdc.Split(0, data)
+	chunks := s.cfg.CDC.Split(0, data)
 
-	// (3) Phase 1 of the two-phase reference update: record an intent (and
-	// the chunk contents, if absent) for every new chunk. Nothing is counted
-	// yet — the intents only pin the chunks until the map swap lands (rate
-	// control acts through the dedup class weight on gw's scheduler).
-	var refs []takenRef
+	// (3) Take an intent on every new chunk (rate control acts through the
+	// dedup class weight on gw's scheduler).
+	rb := s.newRebind(gw, oid)
+	newByOffset := make(map[int64]string, len(chunks))
 	for _, c := range chunks {
 		id := FingerprintID(c.Data)
-		ref := Ref{Pool: s.meta.ID, OID: oid, Offset: c.Offset}
-		var out intentOutcome
-		if err := gw.MutateWithPayload(p, s.chunk, id, len(c.Data), putIntentFn(c.Data, ref, e.leaseExpiry(p), &out)); err != nil {
-			e.abortIntents(p, gw, refs)
-			return len(chunks), err
+		if err := rb.put(p, chunkRef{pool: s.chunk, id: id, ref: s.slotRef(oid, c.Offset)}, c.Data); err != nil {
+			return len(chunks), false, err
 		}
-		e.stats.ChunksFlushed++
-		e.stats.BytesFlushed += int64(len(c.Data))
-		refs = append(refs, takenRef{
-			entry:     Entry{Start: c.Offset, End: c.End(), ChunkID: id},
-			ref:       ref,
-			committed: out.committed,
-		})
+		e.note(flushPut, len(c.Data))
+		newByOffset[c.Offset] = id
 	}
 
-	// (4) Swap the chunk map if no write raced; collect the old references.
-	var oldRefs []takenRef
-	raced := false
+	// (4) Swap the whole chunk map if no write raced (any slot's Gen
+	// changed), then (5) release every replaced binding. A chunk whose
+	// identity at its offset did not change was never re-referenced
+	// (putIntentFn is idempotent per committed key), so it is kept.
 	keepCached := s.cache.KeepCachedAfterFlush(p.Now(), oid)
-	err = gw.Mutate(p, s.meta, oid, func(v rados.View) (*store.Txn, error) {
+	bound, err := rb.bind(p, 0, func(v rados.View) (*store.Txn, bool, []chunkRef, error) {
 		cur, err := loadChunkMap(v)
 		if err != nil {
-			return nil, err
+			return nil, false, nil, err
 		}
+		var old []chunkRef
 		for _, entry := range cur.Entries {
-			g, ok := gens[entry.Start]
-			if !ok || g != entry.Gen {
-				raced = true
-				return nil, nil
+			if g, ok := gens[entry.Start]; !ok || g != entry.Gen {
+				return nil, true, nil, nil
 			}
-			if entry.ChunkID != "" {
-				oldRefs = append(oldRefs, takenRef{
-					entry: entry,
-					ref:   Ref{Pool: s.meta.ID, OID: oid, Offset: entry.Start},
-				})
+			if entry.ChunkID != "" && newByOffset[entry.Start] != entry.ChunkID {
+				old = append(old, s.bindingOf(oid, entry))
 			}
 		}
 		next := &ChunkMap{}
-		for _, nr := range refs {
-			en := nr.entry
-			en.Cached = keepCached
-			next.Entries = append(next.Entries, en)
+		for _, c := range chunks {
+			next.Entries = append(next.Entries, Entry{
+				Start: c.Offset, End: c.End(), ChunkID: newByOffset[c.Offset], Cached: keepCached,
+			})
 		}
 		txn := store.NewTxn().SetXattr(XattrChunkMap, next.Marshal())
 		if keepCached {
@@ -132,108 +107,35 @@ func (e *Engine) flushObjectCDC(p *sim.Proc, gw *rados.Gateway, hostName, oid st
 		} else {
 			txn.Zero(0, size)
 		}
-		return txn, nil
+		return txn, false, old, nil
 	})
-	if err != nil {
-		e.abortIntents(p, gw, refs)
-		return len(chunks), err
-	}
-	if raced {
-		e.stats.Requeued++
-		e.abortIntents(p, gw, refs)
-		return len(chunks), gw.Mutate(p, s.meta, s.dirtyListOID(oid), func(rados.View) (*store.Txn, error) {
-			return store.NewTxn().Create().OmapSet(oid, nil), nil
-		})
-	}
-
-	// Phase 3: the map swap is durable, so commit the intents into counted
-	// references. On persistent failure GC/audit promote the expired intents
-	// (the bindings exist), so commit errors other than pool loss are
-	// tolerable — but retry while OSDs are merely unavailable.
-	for _, nr := range refs {
-		if nr.committed {
-			continue
-		}
-		nr := nr
-		if cerr := retryUnavailable(p, func() error {
-			return gw.Mutate(p, s.chunk, nr.entry.ChunkID, commitIntentFn(nr.ref))
-		}); cerr != nil && !errors.Is(cerr, ErrNotFound) {
-			return len(chunks), cerr
-		}
-	}
-
-	// (5) De-reference the replaced chunks. A new reference with the same
-	// (oid, offset) key may now live on a different chunk object; the old
-	// chunk's copy of the key is removed here. Chunks whose identity did
-	// not change were never re-referenced (putIntentFn is idempotent per
-	// committed key), so skip those.
-	newByOffset := make(map[int64]string, len(refs))
-	for _, nr := range refs {
-		newByOffset[nr.entry.Start] = nr.entry.ChunkID
-	}
-	for _, or := range oldRefs {
-		if newByOffset[or.entry.Start] == or.entry.ChunkID {
-			continue
-		}
-		fn := decRefFn(or.ref)
-		if s.cfg.FalsePositiveRefs {
-			fn = dropRefFn(or.ref)
-		}
-		if err := gw.Mutate(p, s.chunk, or.entry.ChunkID, fn); err != nil && !errors.Is(err, ErrNotFound) {
-			return len(chunks), err
-		}
-	}
-	return len(chunks), nil
-}
-
-// takenRef pairs a prospective chunk-map entry with its reference key.
-// committed records that the reference was already a committed ref before
-// this flush (idempotent re-flush) — no intent exists for it, so neither
-// commit nor abort must touch it.
-type takenRef struct {
-	entry     Entry
-	ref       Ref
-	committed bool
-}
-
-// abortIntents rolls back phase-1 intents taken by an aborted CDC flush.
-// Best-effort: an intent whose abort is lost to a crash expires and is
-// reconciled by GC/audit.
-func (e *Engine) abortIntents(p *sim.Proc, gw *rados.Gateway, refs []takenRef) {
-	s := e.s
-	for _, nr := range refs {
-		if nr.committed {
-			continue
-		}
-		_ = gw.Mutate(p, s.chunk, nr.entry.ChunkID, abortIntentFn(nr.ref, !s.cfg.FalsePositiveRefs))
-	}
+	return len(chunks), !bound && err == nil, err
 }
 
 // cdcWrite is the CDC-mode client write path: because existing entries may
 // have arbitrary (content-defined) boundaries, a write first materializes
 // every overlapped entry into the cached data region, then replaces the
-// overlapped entries with one cached, dirty span. The replaced chunks are
-// de-referenced after the map update.
+// overlapped entries with one cached, dirty span — a reference transfer
+// with no new chunks.
 func (cl *Client) cdcWrite(p *sim.Proc, oid string, off int64, data []byte) error {
 	s := cl.s
 	proxyGW, _, err := s.metaPrimaryGW(oid, qos.Client)
 	if err != nil {
 		return err
 	}
-	type oldChunk struct {
-		id  string
-		ref Ref
-	}
-	var replaced []oldChunk
-	err = cl.gw.MutateWithPayload(p, s.meta, oid, len(data), func(v rados.View) (*store.Txn, error) {
+	// The span swallows every overlapped entry, so their chunks are
+	// released after the map update (their data now lives in the metadata
+	// object).
+	_, err = s.newRebind(cl.gw, oid).bind(p, len(data), func(v rados.View) (*store.Txn, bool, []chunkRef, error) {
 		cm, err := loadChunkMap(v)
 		if err != nil {
-			return nil, err
+			return nil, false, nil, err
 		}
 		end := off + int64(len(data))
 		spanStart, spanEnd := off, end
 		txn := store.NewTxn()
 		var kept []Entry
+		var replaced []chunkRef
 		var maxGen uint32
 		for _, entry := range cm.Entries {
 			if entry.End <= off || entry.Start >= end {
@@ -254,41 +156,24 @@ func (cl *Client) cdcWrite(p *sim.Proc, oid string, off int64, data []byte) erro
 			if !entry.Cached && entry.ChunkID != "" {
 				chunkData, err := proxyGW.Read(p, s.chunk, entry.ChunkID, 0, entry.Len())
 				if err != nil {
-					return nil, fmt.Errorf("core: cdc pre-read %s: %w", entry.ChunkID, err)
+					return nil, false, nil, fmt.Errorf("core: cdc pre-read %s: %w", entry.ChunkID, err)
 				}
 				txn.Write(entry.Start, chunkData)
 			}
 			if entry.ChunkID != "" {
-				replaced = append(replaced, oldChunk{
-					id:  entry.ChunkID,
-					ref: Ref{Pool: s.meta.ID, OID: oid, Offset: entry.Start},
-				})
+				replaced = append(replaced, s.bindingOf(oid, entry))
 			}
 		}
 		txn.Write(off, data)
 		next := &ChunkMap{Entries: kept}
 		next.Upsert(Entry{Start: spanStart, End: spanEnd, Cached: true, Dirty: true, Gen: maxGen + 1})
 		txn.SetXattr(XattrChunkMap, next.Marshal())
-		return txn, nil
+		return txn, false, replaced, nil
 	})
 	if err != nil {
 		return err
 	}
-	// De-reference chunks the span swallowed (their data now lives in the
-	// metadata object).
-	for _, oc := range replaced {
-		fn := decRefFn(oc.ref)
-		if s.cfg.FalsePositiveRefs {
-			fn = dropRefFn(oc.ref)
-		}
-		if err := cl.gw.Mutate(p, s.chunk, oc.id, fn); err != nil && !errors.Is(err, ErrNotFound) {
-			return err
-		}
-	}
-	// Log the object for the background engine.
-	return cl.gw.Mutate(p, s.meta, s.dirtyListOID(oid), func(rados.View) (*store.Txn, error) {
-		return store.NewTxn().Create().OmapSet(oid, nil), nil
-	})
+	return s.listDirty(p, cl.gw, oid)
 }
 
 // UseCDC reports whether the store runs in content-defined chunking mode.

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"dedupstore/internal/chunker"
+	"dedupstore/internal/qos"
 	"dedupstore/internal/sim"
 )
 
@@ -196,4 +198,103 @@ func TestCDCWriteRacingFlushKeepsFinal(t *testing.T) {
 		}
 	})
 	e.checkIntegrity(t)
+}
+
+// TestCDCFlushRequeuesUnavailableObject: a CDC flush that claims an object
+// and then cannot read its chunk map because every metadata replica is
+// down must put the object back on its dirty list, not mistake the outage
+// for a delete. The worker is held in dedup admission between the claim
+// and the chunk-map read while the replicas crash; once they restart, a
+// drain must leave no dirty slot.
+func TestCDCFlushRequeuesUnavailableObject(t *testing.T) {
+	e := newCDCEnv(t, func(cfg *Config) { cfg.DedupThreads = 1 })
+	data := make([]byte, 12000)
+	rand.New(rand.NewSource(6)).Read(data)
+	const hold = time.Second
+	// Down for longer than the read's retry budget (~11s), so the flush
+	// gives up on the read and requeues; the requeue's own retries outlast
+	// the rest of the outage.
+	const restart = hold + 12*time.Second
+	meta := e.s.MetaPool()
+	acting := e.c.Map().ActingSetClass(e.c.PGOf(meta, "obj"), meta.Red.Width(), meta.Class)
+	e.run(t, func(p *sim.Proc) {
+		if err := e.cl.Write(p, "obj", 0, data); err != nil {
+			t.Error(err)
+			return
+		}
+		// Take the only admission slot for the next second.
+		start := p.Now()
+		q := e.c.QoS()
+		q.SetLimit(qos.Dedup, hold)
+		q.WaitTurn(p, qos.Dedup)
+		for _, id := range acting {
+			id := id
+			e.eng.After(hold/2, func() {
+				if err := e.c.CrashOSD(id); err != nil {
+					t.Error(err)
+				}
+			})
+			e.eng.After(restart, func() {
+				if err := e.c.RestartOSD(id); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		e.s.Engine().DrainAndWait(p)
+		q.SetLimit(qos.Dedup, 0)
+		if back := start + sim.Time(restart+time.Second); p.Now() < back {
+			p.SleepUntil(back)
+		}
+		e.s.Engine().DrainAndWait(p)
+		if st := e.s.Engine().Stats(); st.Requeued == 0 {
+			t.Errorf("flush never requeued the unreachable object: %+v", st)
+		}
+		// Errorf, not Fatalf: Goexit inside a sim process would stall the run.
+		for _, en := range entries(t, p, e, "obj") {
+			if en.Dirty {
+				t.Errorf("slot %d still dirty after recovery and drain", en.Start)
+			}
+		}
+		if got, err := e.cl.Read(p, "obj", 0, -1); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("read after recovery: err=%v", err)
+		}
+	})
+	e.checkIntegrity(t)
+}
+
+// TestCDCRegistryMatchesStats: CDC flushes count in the metric registry
+// exactly as in EngineStats, including requeues.
+func TestCDCRegistryMatchesStats(t *testing.T) {
+	e := newCDCEnv(t, nil)
+	e.s.StartEngine()
+	e.run(t, func(p *sim.Proc) {
+		for i := 0; i < 6; i++ {
+			data := bytes.Repeat([]byte{byte(i)}, 12000)
+			if err := e.cl.Write(p, "contended", 0, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.cl.Write(p, fmt.Sprintf("o%d", i), 0, data); err != nil {
+				t.Fatal(err)
+			}
+			p.Sleep(30 * time.Millisecond) // let the engine race the writes
+		}
+	})
+	e.drain(t)
+	st := e.s.Engine().Stats()
+	reg := e.c.Metrics()
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{"dedup_chunks_flushed_total", st.ChunksFlushed},
+		{"dedup_bytes_flushed_total", st.BytesFlushed},
+		{"dedup_requeued_total", st.Requeued},
+	} {
+		if got := reg.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s = %d, Stats() says %d", c.name, got, c.want)
+		}
+	}
+	if st.ChunksFlushed == 0 {
+		t.Fatal("nothing flushed")
+	}
 }

@@ -190,7 +190,9 @@ func UnmarshalChunkMap(b []byte) (*ChunkMap, error) {
 	}
 	n := binary.LittleEndian.Uint64(b)
 	b = b[8:]
-	if uint64(len(b)) != n*EntryOverhead {
+	// Bound n before multiplying: an untrusted count near 2^64/EntryOverhead
+	// would wrap the product and pass the length check.
+	if n > uint64(len(b))/EntryOverhead || uint64(len(b)) != n*EntryOverhead {
 		return nil, fmt.Errorf("%w: %d entries, %d payload bytes", ErrCorruptMap, n, len(b))
 	}
 	for i := uint64(0); i < n; i++ {

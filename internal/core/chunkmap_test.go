@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -40,6 +42,13 @@ func TestChunkMapCorrupt(t *testing.T) {
 	b := m.Marshal()
 	if _, err := UnmarshalChunkMap(b[:len(b)-1]); err == nil {
 		t.Fatal("truncated input accepted")
+	}
+	// A count of 2^63+1 wraps n*EntryOverhead to EntryOverhead, so one
+	// record's worth of payload used to pass the length check and panic.
+	wrap := make([]byte, 8+EntryOverhead)
+	binary.LittleEndian.PutUint64(wrap, 1<<63+1)
+	if _, err := UnmarshalChunkMap(wrap); err == nil {
+		t.Fatal("overflowing entry count accepted")
 	}
 }
 
@@ -158,4 +167,38 @@ func TestFingerprintIDDeterministic(t *testing.T) {
 	if len(a) != 4+64 {
 		t.Fatalf("fingerprint ID %q has unexpected length", a)
 	}
+}
+
+// FuzzChunkMapRoundTrip decodes arbitrary bytes: the decoder must never
+// panic, and any map it accepts must re-marshal to a canonical encoding
+// that decodes to the same entries and re-marshals byte-exactly.
+func FuzzChunkMapRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add((&ChunkMap{Entries: []Entry{{Start: 0, End: 4096, ChunkID: FingerprintID([]byte("x")), Gen: 2, Cold: true}}}).Marshal())
+	f.Add((&ChunkMap{Entries: []Entry{{Start: 0, End: 10, Cached: true, Dirty: true}, {Start: 10, End: 20}}}).Marshal())
+	wrap := make([]byte, 8+EntryOverhead)
+	binary.LittleEndian.PutUint64(wrap, 1<<63+1)
+	f.Add(wrap)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := UnmarshalChunkMap(b)
+		if err != nil {
+			return
+		}
+		canon := m.Marshal()
+		m2, err := UnmarshalChunkMap(canon)
+		if err != nil {
+			t.Fatalf("canonical encoding rejected: %v", err)
+		}
+		if len(m2.Entries) != len(m.Entries) {
+			t.Fatalf("entries %d -> %d", len(m.Entries), len(m2.Entries))
+		}
+		for i := range m.Entries {
+			if m2.Entries[i] != m.Entries[i] {
+				t.Fatalf("entry %d: %+v -> %+v", i, m.Entries[i], m2.Entries[i])
+			}
+		}
+		if again := m2.Marshal(); !bytes.Equal(again, canon) {
+			t.Fatal("re-marshal is not byte-exact")
+		}
+	})
 }

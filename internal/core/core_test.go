@@ -61,14 +61,13 @@ func (e *env) drain(t *testing.T) {
 }
 
 // checkIntegrity verifies the global invariants of the design: every
-// non-cached chunk-map entry points at an existing chunk object whose
-// content round-trips, and every chunk object's reference count equals its
-// recorded back references, each of which is live.
+// non-cached chunk-map entry points at an existing chunk object in the
+// pool its Cold bit names, and every chunk object's reference count equals
+// its recorded back references.
 func (e *env) checkIntegrity(t *testing.T) {
 	t.Helper()
 	e.run(t, func(p *sim.Proc) {
 		gw := e.s.hostGW(anyHost(e.s))
-		refCount := map[string]int{}
 		for _, oid := range e.c.ListObjects(e.s.meta) {
 			if IsSystemObject(oid) {
 				continue
@@ -90,57 +89,60 @@ func (e *env) checkIntegrity(t *testing.T) {
 					}
 					continue
 				}
-				ok, err := gw.Exists(p, e.s.chunk, entry.ChunkID)
-				if err != nil || !ok {
-					if !entry.Cached && !entry.Dirty {
-						t.Errorf("object %s slot %d: chunk %s missing", oid, entry.Start, entry.ChunkID)
-					}
-					continue
-				}
-				if !entry.Dirty {
-					refCount[entry.ChunkID]++
+				ok, err := gw.Exists(p, e.s.chunkPoolFor(entry.Cold), entry.ChunkID)
+				if (err != nil || !ok) && !entry.Cached && !entry.Dirty {
+					t.Errorf("object %s slot %d: chunk %s missing", oid, entry.Start, entry.ChunkID)
 				}
 			}
 		}
-		for _, chunkOID := range e.c.ListObjects(e.s.chunk) {
-			refs, err := gw.OmapList(p, e.s.chunk, chunkOID, 0)
-			if err != nil {
-				t.Errorf("chunk %s: %v", chunkOID, err)
-				continue
-			}
-			rcRaw, err := gw.GetXattr(p, e.s.chunk, chunkOID, XattrRefCount)
-			if err != nil {
-				t.Errorf("chunk %s: missing refcount", chunkOID)
-				continue
-			}
-			committed, intents := 0, 0
-			for _, k := range refs {
-				switch {
-				case isRefKey(k):
-					committed++
-				case isIntentKey(k):
-					intents++
-				default:
-					t.Errorf("chunk %s: unknown omap key %q", chunkOID, k)
-				}
-			}
-			if intents > 0 {
-				t.Errorf("chunk %s: %d uncommitted intents after drain", chunkOID, intents)
-			}
-			rc, _, ok := decodeRC(rcRaw)
-			if !ok {
-				t.Errorf("chunk %s: corrupt refcount xattr (%d bytes)", chunkOID, len(rcRaw))
-				continue
-			}
-			if int(rc) != committed {
-				t.Errorf("chunk %s: refcount %d != %d recorded refs", chunkOID, rc, committed)
-			}
-			if !e.s.cfg.FalsePositiveRefs && committed == 0 {
-				t.Errorf("chunk %s: zero references but not deleted (strict mode)", chunkOID)
-			}
+		for _, cpool := range e.s.chunkPools() {
+			e.checkChunkPool(t, p, gw, cpool)
 		}
-		_ = refCount
 	})
+}
+
+// checkChunkPool verifies every chunk object of one pool: refcount equals
+// the committed references, no intents linger, and in strict mode no
+// unreferenced chunk survives.
+func (e *env) checkChunkPool(t *testing.T, p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool) {
+	t.Helper()
+	for _, chunkOID := range e.c.ListObjects(cpool) {
+		refs, err := gw.OmapList(p, cpool, chunkOID, 0)
+		if err != nil {
+			t.Errorf("chunk %s: %v", chunkOID, err)
+			continue
+		}
+		rcRaw, err := gw.GetXattr(p, cpool, chunkOID, XattrRefCount)
+		if err != nil {
+			t.Errorf("chunk %s: missing refcount", chunkOID)
+			continue
+		}
+		committed, intents := 0, 0
+		for _, k := range refs {
+			switch {
+			case isRefKey(k):
+				committed++
+			case isIntentKey(k):
+				intents++
+			default:
+				t.Errorf("chunk %s: unknown omap key %q", chunkOID, k)
+			}
+		}
+		if intents > 0 {
+			t.Errorf("chunk %s: %d uncommitted intents after drain", chunkOID, intents)
+		}
+		rc, _, ok := decodeRC(rcRaw)
+		if !ok {
+			t.Errorf("chunk %s: corrupt refcount xattr (%d bytes)", chunkOID, len(rcRaw))
+			continue
+		}
+		if int(rc) != committed {
+			t.Errorf("chunk %s: refcount %d != %d recorded refs", chunkOID, rc, committed)
+		}
+		if !e.s.cfg.FalsePositiveRefs && committed == 0 {
+			t.Errorf("chunk %s: zero references but not deleted (strict mode)", chunkOID)
+		}
+	}
 }
 
 // mustCount decodes the committed-reference count from a dedup.rc xattr.

@@ -47,12 +47,6 @@ type Engine struct {
 	// Watermark rate-control state (ratepolicy.go).
 	ratePolicyOn bool  // controller daemon is live
 	rateBase     int64 // dedup-class weight to restore when unthrottled
-
-	// Test hooks: simulated crash points in the flush protocol (§4.6). A
-	// hook returning true aborts the flush at that point, as a crash would.
-	hookAfterDeref     func(oid string, e Entry) bool
-	hookAfterChunkPut  func(oid string, e Entry) bool
-	hookBeforeMapWrite func(oid string, e Entry) bool
 }
 
 func newEngine(s *Store) *Engine {
@@ -195,24 +189,12 @@ func (e *Engine) flushObject(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 		return err
 	}
 
-	if s.cfg.CDC != nil {
-		// A CDC flush rewrites the whole object in one transaction and can't
-		// pause between chunks, so it prepays one admission slot and bills
-		// the rest of its cost postpaid once the chunk count is known.
-		if !force {
-			s.cluster.QoS().WaitTurn(p, qos.Dedup)
-		}
-		n, err := e.flushObjectCDC(p, gw, hostName, oid)
-		if !force {
-			s.cluster.QoS().Charge(p, qos.Dedup, int64(n))
-		}
-		if err != nil {
-			e.stats.Requeued++
-			return e.requeueDirty(p, gw, oid)
-		}
-		return nil
+	// A CDC flush rewrites the whole object in one transaction and can't
+	// pause between chunks, so it prepays one admission slot and bills the
+	// rest of its cost postpaid once the chunk count is known.
+	if s.cfg.CDC != nil && !force {
+		s.cluster.QoS().WaitTurn(p, qos.Dedup)
 	}
-
 	var raw []byte
 	err := retryUnavailable(p, func() error {
 		var e2 error
@@ -222,8 +204,7 @@ func (e *Engine) flushObject(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 	if rados.IsUnavailable(err) {
 		// Claimed but unreachable: put it back rather than mistake a crash
 		// window for deletion and lose the dirty entry.
-		e.stats.Requeued++
-		e.reg().Counter("dedup_requeued_total").Inc()
+		e.note(flushRequeued, 0)
 		return e.requeueDirty(p, gw, oid)
 	}
 	if err != nil {
@@ -233,13 +214,32 @@ func (e *Engine) flushObject(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 	if err != nil {
 		return err
 	}
-	// Flush dirty chunks with bounded intra-object parallelism: each chunk
-	// is an independent slot, so their chunk-pool I/Os pipeline. Rate
-	// control (§4.4.2) admits one chunk per slot via WaitTurn — the slot
-	// spacing is set by the watermark policy, so the trickle tracks the
-	// measured foreground rate. Forced flushes (flush-through mode,
-	// explicit drains) are client-visible and never held back.
 	requeue := false
+	if s.cfg.CDC != nil {
+		n, raced, err := e.flushObjectCDC(p, gw, hostName, oid, cm)
+		if !force {
+			s.cluster.QoS().Charge(p, qos.Dedup, int64(n))
+		}
+		requeue = raced || err != nil
+	} else {
+		requeue = e.flushEntries(p, gw, hostName, oid, cm, force)
+	}
+	if requeue {
+		e.note(flushRequeued, 0)
+		return e.requeueDirty(p, gw, oid)
+	}
+	return nil
+}
+
+// flushEntries flushes every dirty cached slot of a fixed-chunked object
+// and reports whether any slot needs another cycle. Each chunk is an
+// independent slot, so their chunk-pool I/Os pipeline with bounded
+// intra-object parallelism. Rate control (§4.4.2) admits one chunk per slot
+// via WaitTurn — the slot spacing is set by the watermark policy, so the
+// trickle tracks the measured foreground rate. Forced flushes (flush-through
+// mode, explicit drains) are client-visible and never held back.
+func (e *Engine) flushEntries(p *sim.Proc, gw *rados.Gateway, hostName, oid string, cm *ChunkMap, force bool) (requeue bool) {
+	s := e.s
 	queue := sim.NewQueue[Entry]()
 	for _, i := range cm.DirtyEntries() {
 		if entry := cm.Entries[i]; entry.Cached {
@@ -273,24 +273,47 @@ func (e *Engine) flushObject(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 		}))
 	}
 	sim.WaitAll(p, sigs...)
-	if requeue {
+	return requeue
+}
+
+// flushOutcome classifies one flush event for note.
+type flushOutcome int
+
+const (
+	flushPut      flushOutcome = iota // chunk shipped to the chunk pool
+	flushDup                          // shipped, and the chunk already existed
+	flushNoop                         // slot already bound to its content; no chunk-pool I/O
+	flushRequeued                     // object put back on its dirty list
+)
+
+// note counts one flush outcome in both EngineStats and the registry, so
+// the fixed and CDC paths report identically.
+func (e *Engine) note(o flushOutcome, bytes int) {
+	reg := e.reg()
+	switch o {
+	case flushDup:
+		e.stats.DupChunks++
+		reg.Counter("dedup_dup_chunks_total").Inc()
+		fallthrough
+	case flushPut:
+		e.stats.ChunksFlushed++
+		e.stats.BytesFlushed += int64(bytes)
+		reg.Counter("dedup_chunks_flushed_total").Inc()
+		reg.Counter("dedup_bytes_flushed_total").Add(int64(bytes))
+	case flushNoop:
+		e.stats.NoopFlushes++
+		reg.Counter("dedup_noop_flushes_total").Inc()
+	case flushRequeued:
 		e.stats.Requeued++
-		e.reg().Counter("dedup_requeued_total").Inc()
-		return e.requeueDirty(p, gw, oid)
+		reg.Counter("dedup_requeued_total").Inc()
 	}
-	return nil
 }
 
 // requeueDirty puts a claimed object back on its PG's dirty list. The write
 // is retried through transient unavailability: losing it would strand dirty
 // cached chunks that no future sweep ever revisits.
 func (e *Engine) requeueDirty(p *sim.Proc, gw *rados.Gateway, oid string) error {
-	s := e.s
-	return retryUnavailable(p, func() error {
-		return gw.Mutate(p, s.meta, s.dirtyListOID(oid), func(rados.View) (*store.Txn, error) {
-			return store.NewTxn().Create().OmapSet(oid, nil), nil
-		})
-	})
+	return retryUnavailable(p, func() error { return e.s.listDirty(p, gw, oid) })
 }
 
 // EvictStats reports one cold-eviction pass.
@@ -372,33 +395,10 @@ func (e *Engine) StartCacheAgent(interval time.Duration) {
 	})
 }
 
-// errCrash simulates a failure injected by a test hook.
-var errCrash = errors.New("core: injected crash")
-
-// leaseExpiry returns the sim-time lease for a reference intent recorded
-// now: GC and the audit pass leave the intent alone until it expires.
-func (e *Engine) leaseExpiry(p *sim.Proc) sim.Time {
-	return p.Now() + sim.Time(e.s.cfg.IntentLease)
-}
-
-// flushChunk deduplicates one dirty chunk slot with a two-phase,
-// intent-logged reference update, so a crash at any point leaves state the
-// reconcilers (GC, audit) can roll forward or back:
-//
-//	phase 1  record a reference intent on the chunk object (creating the
-//	         chunk if absent) with a lease expiry — the chunk is pinned
-//	         but the reference is not yet counted;
-//	phase 2  bind the chunk in the source object's chunk map (the
-//	         authoritative statement that the reference exists), unless a
-//	         client write raced;
-//	phase 3  commit the intent into a counted reference, then de-reference
-//	         the chunk the slot previously pointed at.
-//
-// Crash after 1: the intent expires, GC/audit abort it (no binding exists).
-// Crash after 2: the binding exists but the reference is an expired intent;
-// GC/audit promote it to a committed reference. Crash mid-3: commit is
-// idempotent and the old chunk's stale reference is collected by GC. A
-// raced phase 2 aborts the intent inline. Returns raced=true when a
+// flushChunk deduplicates one dirty chunk slot through the reference
+// transfer protocol (rebind.go): an intent on the content-addressed chunk,
+// a bind guarded by the slot's generation, then commit and release of the
+// chunk the slot previously pointed at. Returns raced=true when a
 // concurrent client write invalidated the flush (the slot stays dirty).
 func (e *Engine) flushChunk(p *sim.Proc, gw *rados.Gateway, hostName string, oid string, entry Entry) (raced bool, err error) {
 	s := e.s
@@ -414,7 +414,6 @@ func (e *Engine) flushChunk(p *sim.Proc, gw *rados.Gateway, hostName string, oid
 		return false, err
 	}
 	newID := FingerprintID(data)
-	ref := Ref{Pool: s.meta.ID, OID: oid, Offset: entry.Start}
 
 	// Adaptive tiering: the flush lands the chunk in the pool the object's
 	// temperature selects — cold objects erasure-code, everything else
@@ -423,55 +422,38 @@ func (e *Engine) flushChunk(p *sim.Proc, gw *rados.Gateway, hostName string, oid
 	cold := s.cfg.Tiering.Enabled && s.cache.Temp(p.Now(), oid) == hitset.TempCold
 	newPool := s.chunkPoolFor(cold)
 
-	// Phase 1: intent + chunk write at the content-addressed location. When
-	// the slot already points at the right chunk in the right pool (same
-	// content rewritten) no chunk-pool I/O happens, so it must not count as
-	// a flush. A same-ID, different-pool slot is a real move: both pools may
-	// hold a chunk under the same fingerprint while objects migrate.
+	// When the slot already points at the right chunk in the right pool
+	// (same content rewritten) no chunk-pool I/O happens, so it must not
+	// count as a flush. A same-ID, different-pool slot is a real move: both
+	// pools may hold a chunk under the same fingerprint while objects
+	// migrate.
+	rb := s.newRebind(gw, oid)
 	samePlace := entry.ChunkID == newID && entry.Cold == cold
-	var intent intentOutcome
-	if !samePlace {
+	if samePlace {
+		e.note(flushNoop, 0)
+	} else {
 		existedBefore, _ := gw.Exists(p, newPool, newID)
-		if err := gw.MutateWithPayload(p, newPool, newID, len(data), putIntentFn(data, ref, e.leaseExpiry(p), &intent)); err != nil {
+		if err := rb.put(p, chunkRef{pool: newPool, id: newID, ref: s.slotRef(oid, entry.Start)}, data); err != nil {
 			return false, err
 		}
 		if existedBefore {
-			e.stats.DupChunks++
-			e.reg().Counter("dedup_dup_chunks_total").Inc()
+			e.note(flushDup, len(data))
+		} else {
+			e.note(flushPut, len(data))
 		}
-		e.stats.ChunksFlushed++
-		e.stats.BytesFlushed += int64(len(data))
-		e.reg().Counter("dedup_chunks_flushed_total").Inc()
-		e.reg().Counter("dedup_bytes_flushed_total").Add(int64(len(data)))
-	} else {
-		e.stats.NoopFlushes++
-		e.reg().Counter("dedup_noop_flushes_total").Inc()
-	}
-	if e.hookAfterChunkPut != nil && e.hookAfterChunkPut(oid, entry) {
-		return false, errCrash
 	}
 
-	// Phase 2: bind the chunk in the map — only if no client write raced.
 	keepCached := s.cache.KeepCachedAfterFlush(p.Now(), oid)
-	if e.hookBeforeMapWrite != nil && e.hookBeforeMapWrite(oid, entry) {
-		return false, errCrash
-	}
-	raced = false
-	err = gw.Mutate(p, s.meta, oid, func(v rados.View) (*store.Txn, error) {
+	bound, err := rb.bind(p, 0, func(v rados.View) (*store.Txn, bool, []chunkRef, error) {
 		cur, err := loadChunkMap(v)
 		if err != nil {
-			return nil, err
+			return nil, false, nil, err
 		}
 		i := cur.Find(entry.Start)
-		if i < 0 {
-			raced = true // slot disappeared (delete raced)
-			return nil, nil
+		if i < 0 || cur.Entries[i].Gen != entry.Gen {
+			return nil, true, nil, nil // deleted, or a newer write: stays dirty
 		}
 		cs := cur.Entries[i]
-		if cs.Gen != entry.Gen {
-			raced = true // newer write; leave dirty for the next cycle
-			return nil, nil
-		}
 		cs.ChunkID = newID
 		cs.Dirty = false
 		cs.Cached = keepCached
@@ -483,46 +465,13 @@ func (e *Engine) flushChunk(p *sim.Proc, gw *rados.Gateway, hostName string, oid
 			// may end with "no data but only metadata", Fig. 8 object 2).
 			txn.Zero(cs.Start, cs.Len())
 		}
-		return txn, nil
+		// The old binding's pool may differ from the new one (a cross-pool
+		// move via re-flush).
+		var old []chunkRef
+		if entry.ChunkID != "" && !samePlace {
+			old = append(old, s.bindingOf(oid, entry))
+		}
+		return txn, false, old, nil
 	})
-	if err != nil || raced {
-		// Roll phase 1 back: the binding never landed, so the intent must
-		// not become a reference. Best-effort — if this mutation is lost to
-		// a crash, the lease expiry lets GC/audit abort it instead.
-		if !samePlace && !intent.committed {
-			if aerr := gw.Mutate(p, newPool, newID, abortIntentFn(ref, !s.cfg.FalsePositiveRefs)); aerr != nil && !errors.Is(aerr, ErrNotFound) && err == nil {
-				return raced, aerr
-			}
-		}
-		return raced, err
-	}
-
-	// Phase 3: commit the intent into a counted reference. On persistent
-	// failure the binding already exists, so GC/audit will promote the
-	// expired intent — the protocol converges either way.
-	if !samePlace && !intent.committed {
-		if cerr := retryUnavailable(p, func() error {
-			return gw.Mutate(p, newPool, newID, commitIntentFn(ref))
-		}); cerr != nil && !errors.Is(cerr, ErrNotFound) {
-			return false, cerr
-		}
-	}
-
-	// De-reference the chunk the slot previously pointed at — after the
-	// binding swap, so no window exists where the chunk map points at a
-	// chunk whose reference was already dropped. The old binding's pool may
-	// differ from the new one (a cross-pool move via re-flush).
-	if entry.ChunkID != "" && !samePlace {
-		fn := decRefFn(ref)
-		if s.cfg.FalsePositiveRefs {
-			fn = dropRefFn(ref)
-		}
-		if derr := gw.Mutate(p, s.chunkPoolFor(entry.Cold), entry.ChunkID, fn); derr != nil && !errors.Is(derr, ErrNotFound) {
-			return false, derr
-		}
-	}
-	if e.hookAfterDeref != nil && e.hookAfterDeref(oid, entry) {
-		return false, errCrash
-	}
-	return false, nil
+	return !bound && err == nil, err
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"dedupstore/internal/sim"
 )
@@ -44,27 +45,48 @@ func verifyBoth(t *testing.T, e *env, content []byte) {
 	e.checkIntegrity(t)
 }
 
+// crashFirst returns a fault that crashes the first n times a rebind
+// reaches a step of the given kind, counting the crashes in fired.
+func crashFirst(kind stepKind, n int, fired *int) func(*sim.Proc, string, rebindStep) bool {
+	return func(_ *sim.Proc, _ string, st rebindStep) bool {
+		if st.Kind == kind && *fired < n {
+			*fired++
+			return true
+		}
+		return false
+	}
+}
+
 func TestCrashAfterDeref(t *testing.T) {
 	e := crashEnv(t)
 	v1 := bytes.Repeat([]byte{1}, 4096)
 	v2 := bytes.Repeat([]byte{2}, 4096)
 	writeTwo(t, e, v1)
 	e.drain(t)
-	// Overwrite both so the next flush must de-reference the old chunk.
+	// Overwrite both so the next flush must de-reference the old chunk, and
+	// crash both flushes just before that release: the new binding is
+	// committed, and the old chunk keeps one stale reference per object.
 	writeTwo(t, e, v2)
 	crashes := 0
-	e.s.engine.hookAfterDeref = func(oid string, entry Entry) bool {
-		if crashes < 2 {
-			crashes++
-			return true // crash right after step 3's de-reference
-		}
-		return false
-	}
-	e.drain(t) // crashes twice, requeues, then succeeds
+	e.s.fault = crashFirst(stepRelease, 2, &crashes)
+	e.drain(t) // crashes twice, requeues, then finds both objects clean
 	if crashes != 2 {
-		t.Fatalf("hook fired %d times", crashes)
+		t.Fatalf("fault fired %d times", crashes)
 	}
+	e.s.fault = nil
 	verifyBoth(t, e, v2)
+	e.run(t, func(p *sim.Proc) {
+		st, err := e.s.GC(p)
+		if err != nil || st.StaleRefs != 2 {
+			t.Fatalf("GC: err=%v %+v, want 2 stale refs", err, st)
+		}
+		if st, err = e.s.GC(p); err != nil || st.StaleRefs != 0 {
+			t.Fatalf("second GC: err=%v %+v", err, st)
+		}
+		if ok, _ := e.s.hostGW(anyHost(e.s)).Exists(p, e.s.chunk, FingerprintID(v1)); ok {
+			t.Error("old chunk survived GC with only stale references")
+		}
+	})
 }
 
 func TestCrashAfterChunkPut(t *testing.T) {
@@ -72,14 +94,12 @@ func TestCrashAfterChunkPut(t *testing.T) {
 	content := bytes.Repeat([]byte{5}, 4096)
 	writeTwo(t, e, content)
 	crashes := 0
-	e.s.engine.hookAfterChunkPut = func(oid string, entry Entry) bool {
-		if crashes < 2 {
-			crashes++
-			return true // crash between chunk-pool write and map update
-		}
-		return false
-	}
+	// Crash between the chunk-pool write and the map update.
+	e.s.fault = crashFirst(stepBind, 2, &crashes)
 	e.drain(t)
+	if crashes != 2 {
+		t.Fatalf("fault fired %d times", crashes)
+	}
 	// §4.6: "If failure occurs at (3), (4), chunk's state is not cleaned.
 	// Therefore, next deduplication process handles this dirty chunk ...
 	// Since reference data is already stored in the chunk pool, if reference
@@ -96,19 +116,17 @@ func TestCrashBeforeMapUpdate(t *testing.T) {
 	content := bytes.Repeat([]byte{6}, 4096)
 	writeTwo(t, e, content)
 	crashes := 0
-	e.s.engine.hookBeforeMapWrite = func(oid string, entry Entry) bool {
-		if crashes < 3 {
-			crashes++
-			return true // crash before the ack/map update (§4.6 failure at (5))
-		}
-		return false
-	}
+	// Crash before the chunk put itself: nothing reached the chunk pool.
+	e.s.fault = crashFirst(stepIntent, 3, &crashes)
 	e.drain(t)
+	if crashes != 3 {
+		t.Fatalf("fault fired %d times", crashes)
+	}
 	verifyBoth(t, e, content)
 }
 
 func TestCrashStormConverges(t *testing.T) {
-	// Random crashes at every hook point across many objects; repeated
+	// Random crashes at every protocol step across many objects; repeated
 	// drains must converge to a consistent, fully deduplicated state.
 	e := crashEnv(t)
 	rng := rand.New(rand.NewSource(99))
@@ -128,17 +146,23 @@ func TestCrashStormConverges(t *testing.T) {
 			}
 		}
 	})
-	crash := func(string, Entry) bool { return rng.Intn(3) == 0 }
-	e.s.engine.hookAfterDeref = crash
-	e.s.engine.hookAfterChunkPut = crash
-	e.s.engine.hookBeforeMapWrite = crash
+	e.s.fault = func(*sim.Proc, string, rebindStep) bool { return rng.Intn(3) == 0 }
 	e.drain(t) // crashy drain: some flushes abort and requeue
 
-	// Disable crashes and drain again — protocol must converge.
-	e.s.engine.hookAfterDeref = nil
-	e.s.engine.hookAfterChunkPut = nil
-	e.s.engine.hookBeforeMapWrite = nil
+	// Disable crashes and drain again, then let the leases run out and the
+	// reconcilers finish what crashed commits and releases left behind —
+	// the protocol must converge.
+	e.s.fault = nil
 	e.drain(t)
+	e.run(t, func(p *sim.Proc) {
+		p.Sleep(e.s.cfg.IntentLease + time.Second)
+		if st, err := e.s.Audit(p); err != nil || st.LostChunks != 0 {
+			t.Fatalf("audit: err=%v %+v", err, st)
+		}
+		if _, err := e.s.GC(p); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	e.run(t, func(p *sim.Proc) {
 		for oid, want := range contents {

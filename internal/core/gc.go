@@ -17,7 +17,7 @@ import (
 // left. This is the "additional garbage collection process" the paper notes
 // the technique requires.
 //
-// The pass also reconciles the two-phase reference protocol (refcount.go):
+// The pass also reconciles the reference transfer protocol (rebind.go):
 // expired intents are promoted to committed references when the source chunk
 // map still binds the chunk, aborted otherwise; the committed count is
 // rewritten to match the omap whenever they drift apart.
@@ -262,8 +262,11 @@ func (s *Store) gcPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, stats 
 				if err != nil {
 					return nil, err
 				}
-				remainRefs, remainIntents := 0, 0
+				remainRefs, remainIntents, committed := 0, 0, 0
 				for _, k := range keys {
+					if isRefKey(k) {
+						committed++
+					}
 					switch {
 					case drop[k]:
 						txn.OmapRm(k)
@@ -285,8 +288,10 @@ func (s *Store) gcPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, stats 
 					return store.NewTxn().Delete(), nil
 				}
 				// Reconcile count ← omap: the committed count must equal the
-				// committed reference keys that survive the sweep.
-				if !snap.rcOK || snap.count != uint64(remainRefs) {
+				// committed reference keys that survive the sweep. Only a count
+				// that already disagreed with the omap is a fix; the keys this
+				// sweep drops or promotes account for the rest of the change.
+				if !snap.rcOK || snap.count != uint64(committed) {
 					countFixed = true
 				}
 				txn.SetXattr(XattrRefCount, encodeRC(uint64(remainRefs), snap.gen+1))

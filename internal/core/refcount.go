@@ -35,8 +35,8 @@ func FingerprintID(data []byte) string {
 //   - "ref."-prefixed keys are committed references: the chunk map of the
 //     source object binds that offset to this chunk, and the reference
 //     count includes them.
-//   - "int."-prefixed keys are reference *intents*: phase 1 of the
-//     two-phase reference update (see engine.go flushChunk). The value is
+//   - "int."-prefixed keys are reference *intents*: the first step of the
+//     reference transfer protocol (rebind.go). The value is
 //     a sim-time lease expiry. An intent does not count toward the
 //     reference count; it only keeps GC from reclaiming the chunk while a
 //     flush is between "chunk written" and "reference committed". Expired
@@ -69,7 +69,7 @@ func (r Ref) refBody() string {
 // paper's per-reference footprint.
 func (r Ref) Key() string { return padRefKey(refKeyPrefix + r.refBody()) }
 
-// IntentKey returns the omap key recording a phase-1 intent for this
+// IntentKey returns the omap key recording a reference intent for this
 // reference.
 func (r Ref) IntentKey() string { return padRefKey(intentKeyPrefix + r.refBody()) }
 
@@ -222,8 +222,8 @@ func countOtherRefs(v rados.View, exclude string) (refs, intents int, err error)
 // information." Executed under the chunk-pool PG lock, so create-vs-incref
 // races between concurrent dedup workers are serialized by the substrate.
 // This is the single-phase (directly committed) form used by the inline
-// baseline, whose reference is bound before the client ack; the background
-// flush protocol uses putIntentFn/commitIntentFn instead.
+// baseline, whose reference is bound before the client ack; every other
+// reference change runs the intent protocol in rebind.go instead.
 func putRefFn(data []byte, ref Ref) rados.MutateFn {
 	return func(v rados.View) (*store.Txn, error) {
 		txn := store.NewTxn()
@@ -252,23 +252,18 @@ func putRefFn(data []byte, ref Ref) rados.MutateFn {
 	}
 }
 
-// intentOutcome reports what putIntentFn found under the PG lock.
-type intentOutcome struct {
-	// committed: this exact reference is already a committed ref (idempotent
-	// re-flush after a crash between commit and map update) — no intent was
-	// recorded, and neither commit nor abort must run.
-	committed bool
-}
-
-// putIntentFn is phase 1 of the two-phase reference update: store the chunk
-// contents if absent and record a reference intent with a lease expiry. The
-// committed reference count is NOT incremented — the intent only pins the
-// chunk against GC until commitIntentFn (phase 3) lands or the lease runs
-// out. Re-running phase 1 for the same reference refreshes the lease.
-func putIntentFn(data []byte, ref Ref, expiry sim.Time, out *intentOutcome) rados.MutateFn {
+// putIntentFn is step 1 of the reference transfer (rebind.go): store the
+// chunk contents if absent and record a reference intent with a lease
+// expiry. The committed reference count is NOT incremented — the intent
+// only pins the chunk against GC until commitIntentFn lands or the lease
+// runs out. Re-running it for the same reference refreshes the lease. If
+// this exact reference is already committed (an idempotent re-flush after a
+// crash between commit and map update), no intent is recorded and
+// *committed is set: neither commit nor abort must then run.
+func putIntentFn(data []byte, ref Ref, expiry sim.Time, committed *bool) rados.MutateFn {
 	return func(v rados.View) (*store.Txn, error) {
-		if out != nil {
-			*out = intentOutcome{}
+		if committed != nil {
+			*committed = false
 		}
 		txn := store.NewTxn()
 		if !v.Exists() {
@@ -282,8 +277,8 @@ func putIntentFn(data []byte, ref Ref, expiry sim.Time, out *intentOutcome) rado
 			return nil, err
 		}
 		if _, err := v.OmapGet(ref.Key()); err == nil {
-			if out != nil {
-				out.committed = true
+			if committed != nil {
+				*committed = true
 			}
 			// Already committed (idempotent re-flush) — bump the generation
 			// anyway so a GC pass that judged this reference stale before the
@@ -296,8 +291,8 @@ func putIntentFn(data []byte, ref Ref, expiry sim.Time, out *intentOutcome) rado
 	}
 }
 
-// commitIntentFn is phase 3: the chunk-map binding is durable, so convert
-// the intent into a committed reference and count it. Safe to run after GC
+// commitIntentFn is the commit step: the chunk-map binding is durable, so
+// convert the intent into a committed reference and count it. Safe to run after GC
 // aborted an expired intent (the reference is still recorded — the binding
 // exists, which is exactly what GC verifies) and idempotent when the audit
 // pass promoted the intent first.
@@ -323,7 +318,7 @@ func commitIntentFn(ref Ref) rados.MutateFn {
 	}
 }
 
-// abortIntentFn rolls back phase 1 after the map swap raced or failed. In
+// abortIntentFn rolls back an intent after the bind raced or failed. In
 // strict mode a chunk left with no references and no other intents is
 // deleted inline (there is no GC to reclaim it); in false-positive mode it
 // is left for the collector. A crash before the abort lands is covered by

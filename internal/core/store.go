@@ -115,11 +115,11 @@ type Config struct {
 	// FalsePositiveRefs enables the §4.6 variant: no locking on decrement;
 	// zero-reference chunks are reclaimed by the garbage collector instead.
 	FalsePositiveRefs bool
-	// IntentLease is the lifetime of a phase-1 reference intent (see
-	// refcount.go): GC and the audit pass leave an intent alone until this
-	// much sim-time has passed since the flush recorded it, then reconcile
-	// it (promote if the chunk map binds the chunk, abort otherwise). Must
-	// comfortably exceed the flush's worst-case bind-to-commit latency.
+	// IntentLease is the lifetime of a reference intent (see rebind.go):
+	// GC and the audit pass leave an intent alone until this much sim-time
+	// has passed since the flush recorded it, then reconcile it (promote if
+	// the chunk map binds the chunk, abort otherwise). Must comfortably
+	// exceed the flush's worst-case bind-to-commit latency.
 	IntentLease time.Duration
 	// CDC switches the background flush to content-defined chunking (an
 	// extension of the paper's design; the paper uses static chunking for
@@ -182,6 +182,10 @@ type Store struct {
 	// verification and the under-lock sweep of each chunk, so tests can
 	// inject a racing reference mutation into exactly that window.
 	gcHookBeforeSweep func(p *sim.Proc, chunkOID string)
+
+	// fault (tests only) is consulted before every step of a reference
+	// transfer (rebind.go); returning true simulates a crash there.
+	fault func(p *sim.Proc, oid string, st rebindStep) bool
 }
 
 // Open creates (or errors on existing) the metadata and chunk pools and
@@ -355,6 +359,14 @@ func (s *Store) dirtyListOID(oid string) string {
 	return fmt.Sprintf("sys.dirty.%d", pg.Seq)
 }
 
+// listDirty logs oid on its PG's dirty list for the background engine. The
+// append is idempotent.
+func (s *Store) listDirty(p *sim.Proc, gw *rados.Gateway, oid string) error {
+	return gw.Mutate(p, s.meta, s.dirtyListOID(oid), func(rados.View) (*store.Txn, error) {
+		return store.NewTxn().Create().OmapSet(oid, nil), nil
+	})
+}
+
 // dirtyListAll enumerates every dirty-list object name.
 func (s *Store) dirtyListAll() []string {
 	out := make([]string, 0, s.meta.PGNum)
@@ -523,11 +535,7 @@ func (cl *Client) write(p *sim.Proc, oid string, off int64, data []byte) error {
 	// Step (4): log the object ID for the background dedup engine. The log
 	// append does not gate the client's ack — the authoritative dirty state
 	// is the chunk map's dirty bits, written transactionally above (§4.6).
-	p.Go("dirty-log", func(q *sim.Proc) {
-		_ = cl.gw.Mutate(q, s.meta, s.dirtyListOID(oid), func(rados.View) (*store.Txn, error) {
-			return store.NewTxn().Create().OmapSet(oid, nil), nil
-		})
-	})
+	p.Go("dirty-log", func(q *sim.Proc) { _ = s.listDirty(q, cl.gw, oid) })
 	if s.cfg.Mode == ModeFlushThrough {
 		// "Proposed-flush": deduplicate immediately (Fig. 10 worst case). The
 		// flush gates the client's ack, so it submits in the client class.
@@ -665,12 +673,7 @@ func (cl *Client) delete(p *sim.Proc, oid string) error {
 		if e.ChunkID == "" {
 			continue
 		}
-		ref := Ref{Pool: s.meta.ID, OID: oid, Offset: e.Start}
-		fn := decRefFn(ref)
-		if s.cfg.FalsePositiveRefs {
-			fn = dropRefFn(ref)
-		}
-		if err := cl.gw.Mutate(p, s.chunkPoolFor(e.Cold), e.ChunkID, fn); err != nil && !errors.Is(err, ErrNotFound) {
+		if err := s.release(p, cl.gw, s.bindingOf(oid, e)); err != nil {
 			return err
 		}
 	}

@@ -66,11 +66,6 @@ type tierState struct {
 	stats    TierStats
 	census   TierCensus
 	censusAt sim.Time
-
-	// Test hooks: simulated crash points inside a chunk migration. A hook
-	// returning true abandons the migration at that point, as a crash would.
-	hookAfterIntent func(oid string, e Entry) bool // after phase 1, before bind
-	hookAfterBind   func(oid string, e Entry) bool // after phase 2, before commit/deref
 }
 
 // TierStats returns the running totals of all tiering passes.

@@ -342,15 +342,16 @@ func TestTierMigrateCrashAfterIntent(t *testing.T) {
 		}
 		e.s.Engine().DrainAndWait(p)
 		coolDown(p)
-		e.s.tier.hookAfterIntent = func(string, Entry) bool { return true }
+		crashes := 0
+		e.s.fault = crashFirst(stepBind, 1, &crashes)
 		ps, err := e.s.TierPass(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ps.Errors != 1 || ps.DemotedChunks != 0 {
+		if ps.Errors != 1 || ps.DemotedChunks != 0 || crashes != 1 {
 			t.Fatalf("crashed pass: %+v", ps)
 		}
-		e.s.tier.hookAfterIntent = nil
+		e.s.fault = nil
 		for _, en := range entries(t, p, e, "obj") {
 			if en.Cold {
 				t.Fatal("binding moved despite the crash")
@@ -390,15 +391,16 @@ func TestTierMigrateCrashAfterBind(t *testing.T) {
 		}
 		e.s.Engine().DrainAndWait(p)
 		coolDown(p)
-		e.s.tier.hookAfterBind = func(string, Entry) bool { return true }
+		crashes := 0
+		e.s.fault = crashFirst(stepCommit, 1, &crashes)
 		ps, err := e.s.TierPass(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ps.Errors != 1 {
+		if ps.Errors != 1 || crashes != 1 {
 			t.Fatalf("crashed pass: %+v", ps)
 		}
-		e.s.tier.hookAfterBind = nil
+		e.s.fault = nil
 		for _, en := range entries(t, p, e, "obj") {
 			if !en.Cold {
 				t.Fatal("binding should have flipped before the crash")
@@ -438,15 +440,16 @@ func TestTierRecacheCrashAfterBind(t *testing.T) {
 		}
 		e.s.Engine().DrainAndWait(p)
 		heat(p, e, "obj")
-		e.s.tier.hookAfterBind = func(string, Entry) bool { return true }
+		crashes := 0
+		e.s.fault = crashFirst(stepRelease, 1, &crashes)
 		ps, err := e.s.TierPass(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ps.Errors != 1 || ps.Recaches != 1 {
+		if ps.Errors != 1 || ps.Recaches != 1 || crashes != 1 {
 			t.Fatalf("crashed pass: %+v", ps)
 		}
-		e.s.tier.hookAfterBind = nil
+		e.s.fault = nil
 		if got, _ := e.cl.Read(p, "obj", 0, -1); !bytes.Equal(got, data) {
 			t.Fatal("read mismatch after crashed recache")
 		}
@@ -476,18 +479,20 @@ func TestTierRacedByClientWrite(t *testing.T) {
 		}
 		e.s.Engine().DrainAndWait(p)
 		coolDown(p)
-		// The hook fires after phase 1, exactly inside the race window.
-		e.s.tier.hookAfterIntent = func(oid string, en Entry) bool {
-			done := p.Go("racer", func(q *sim.Proc) {
-				if err := e.cl.Write(q, "obj", 0, mkData(0x55, 4096)); err != nil {
-					t.Error(err)
-				}
-			})
-			sim.WaitAll(p, done)
-			return false // no crash — let phase 2 observe the raced slot
+		// The fault point before bind sits exactly inside the race window.
+		e.s.fault = func(q *sim.Proc, oid string, st rebindStep) bool {
+			if st.Kind == stepBind {
+				done := q.Go("racer", func(r *sim.Proc) {
+					if err := e.cl.Write(r, "obj", 0, mkData(0x55, 4096)); err != nil {
+						t.Error(err)
+					}
+				})
+				sim.WaitAll(q, done)
+			}
+			return false // no crash — let the bind observe the raced slot
 		}
 		ps, err := e.s.TierPass(p)
-		e.s.tier.hookAfterIntent = nil
+		e.s.fault = nil
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,5 +556,47 @@ func TestTieringDisabledUnchanged(t *testing.T) {
 		if e.s.TieringDaemonRunning() {
 			t.Fatal("daemon started with tiering off")
 		}
+	})
+}
+
+// TestTierRecacheRacedByEviction: an eviction landing between a pass's map
+// read and the recache bind zeroes a cached-bound slot's bytes. The bind
+// must treat the slot as raced and keep its chunk binding, not unbind it
+// and leave the slot with no copy of its data.
+func TestTierRecacheRacedByEviction(t *testing.T) {
+	e := newTierEnv(t, nil)
+	data := mkData(0x77, 8192)
+	e.run(t, func(p *sim.Proc) {
+		if err := e.cl.Write(p, "obj", 0, data); err != nil {
+			t.Error(err)
+			return
+		}
+		heat(p, e, "obj")
+		e.s.Engine().DrainAndWait(p) // flushed while hot: bound and still cached
+		for _, en := range entries(t, p, e, "obj") {
+			if !en.Cached || en.ChunkID == "" {
+				t.Errorf("slot %d: want cached and bound, got %+v", en.Start, en)
+				return
+			}
+		}
+		heat(p, e, "obj")
+		e.s.fault = func(q *sim.Proc, oid string, st rebindStep) bool {
+			if st.Kind == stepBind {
+				var ps TierStats
+				if err := e.s.evictObject(q, e.s.hostGW(anyHost(e.s)), oid, &ps); err != nil || ps.Evicts != 1 {
+					t.Errorf("evict: err=%v %+v", err, ps)
+				}
+			}
+			return false
+		}
+		ps, err := e.s.TierPass(p)
+		e.s.fault = nil
+		if err != nil || ps.RacedSkips != 2 || ps.Recaches != 0 {
+			t.Errorf("raced recache: err=%v %+v", err, ps)
+		}
+		if got, err := e.cl.Read(p, "obj", 0, -1); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("read after raced recache: err=%v", err)
+		}
+		checkClean(t, p, e)
 	})
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"dedupstore/internal/qos"
@@ -13,21 +12,21 @@ import (
 // Migration executors: the I/O half of adaptive redundancy. Each executor
 // advances one object a single step toward its target form; the policy
 // daemon re-walks objects every pass, so multi-step transitions converge
-// across passes. Chunk moves between pools ride the same two-phase
-// intent-logged reference protocol as the flush (refcount.go), so a crash
-// anywhere mid-migration leaves only state GC and the audit pass already
-// know how to reconcile — no new crash windows, no stale references.
+// across passes. Chunk moves and recaches run the same reference transfer
+// protocol as the flush (rebind.go), so a crash anywhere mid-migration
+// leaves only state GC and the audit pass already know how to reconcile —
+// no new crash windows, no stale references.
 
 // recacheObject promotes an object to its hot form: every clean bound
 // slot's bytes are read back into the metadata object, the binding is
-// dropped (ChunkID="") and the chunk de-referenced. Slots that still hold a
-// cached copy (flushed while hot) skip the read — only the binding changes.
+// dropped (ChunkID="") and the chunk de-referenced — a reference transfer
+// with no new chunks. Slots that still hold a cached copy (flushed while
+// hot) skip the read — only the binding changes.
 //
 // Crash windows: the binding swap is one metadata-pool transaction, and a
 // slot without a binding holds no reference, so a crash after the swap but
-// before the de-reference leaves a stale reference on the chunk — exactly
-// the state GC's mark pass detects (binding gone → reference dead) and
-// sweeps.
+// before the release leaves a stale reference on the chunk — exactly the
+// state GC's mark pass detects (binding gone → reference dead) and sweeps.
 func (s *Store) recacheObject(p *sim.Proc, gw *rados.Gateway, oid string, cm *ChunkMap, ps *TierStats) error {
 	// Read the chunk bytes of every uncached bound slot first, outside the
 	// metadata object's PG lock.
@@ -57,27 +56,37 @@ func (s *Store) recacheObject(p *sim.Proc, gw *rados.Gateway, oid string, cm *Ch
 
 	// Swap every binding in one transaction, re-checking each slot under the
 	// PG lock: a raced slot (newer write, new binding, or gone) is skipped
-	// and left to the engine. Collect the old bindings actually swapped so
-	// only their references are dropped.
-	var swapped []Entry
-	err := gw.MutateWithPayload(p, s.meta, oid, payload, func(v rados.View) (*store.Txn, error) {
-		swapped = swapped[:0]
+	// and left to the engine. Only the bindings actually swapped are
+	// released.
+	swapped := 0
+	bound, err := s.newRebind(gw, oid).bind(p, payload, func(v rados.View) (*store.Txn, bool, []chunkRef, error) {
+		swapped = 0
 		cur, err := loadChunkMap(v)
 		if err != nil {
-			return nil, err
+			return nil, false, nil, err
 		}
 		txn := store.NewTxn()
-		changed := false
+		var old []chunkRef
 		recheck := func(e Entry) (Entry, int, bool) {
 			i := cur.Find(e.Start)
 			if i < 0 {
 				return Entry{}, -1, false
 			}
+			// Cached too: an eviction that raced the reads zeroed the bytes a
+			// cached-bound slot would otherwise keep as its only copy.
 			cs := cur.Entries[i]
-			if cs.Gen != e.Gen || cs.ChunkID != e.ChunkID || cs.Cold != e.Cold || cs.Dirty {
+			if cs.Gen != e.Gen || cs.ChunkID != e.ChunkID || cs.Cold != e.Cold || cs.Cached != e.Cached || cs.Dirty {
 				return Entry{}, -1, false
 			}
 			return cs, i, true
+		}
+		unbind := func(cs Entry, i int) {
+			old = append(old, s.bindingOf(oid, cs))
+			cs.Cached = true
+			cs.ChunkID = ""
+			cs.Cold = false
+			cs.Gen++
+			cur.Entries[i] = cs
 		}
 		for _, f := range fills {
 			cs, i, ok := recheck(f.e)
@@ -86,13 +95,7 @@ func (s *Store) recacheObject(p *sim.Proc, gw *rados.Gateway, oid string, cm *Ch
 				continue
 			}
 			txn.Write(cs.Start, f.data)
-			swapped = append(swapped, cs)
-			cs.Cached = true
-			cs.ChunkID = ""
-			cs.Cold = false
-			cs.Gen++
-			cur.Entries[i] = cs
-			changed = true
+			unbind(cs, i)
 			ps.RecachedBytes += int64(len(f.data))
 		}
 		// Cached-bound slots: the bytes are already in place; just unbind.
@@ -105,42 +108,19 @@ func (s *Store) recacheObject(p *sim.Proc, gw *rados.Gateway, oid string, cm *Ch
 				ps.RacedSkips++
 				continue
 			}
-			swapped = append(swapped, cs)
-			cs.ChunkID = ""
-			cs.Cold = false
-			cs.Gen++
-			cur.Entries[i] = cs
-			changed = true
+			unbind(cs, i)
 		}
-		if !changed {
-			return nil, nil
+		swapped = len(old)
+		if swapped == 0 {
+			return nil, false, nil, nil
 		}
 		txn.SetXattr(XattrChunkMap, cur.Marshal())
-		return txn, nil
+		return txn, false, old, nil
 	})
-	if err != nil {
-		return err
+	if bound && swapped > 0 {
+		ps.Recaches++
 	}
-	if len(swapped) == 0 {
-		return nil
-	}
-	ps.Recaches++
-	if s.tier.hookAfterBind != nil && s.tier.hookAfterBind(oid, swapped[0]) {
-		return errCrash // stale refs on the chunks; GC sweeps them
-	}
-	// De-reference the old bindings — after the swap, so no window exists
-	// where a binding points at a chunk whose reference is already gone.
-	for _, old := range swapped {
-		ref := Ref{Pool: s.meta.ID, OID: oid, Offset: old.Start}
-		fn := decRefFn(ref)
-		if s.cfg.FalsePositiveRefs {
-			fn = dropRefFn(ref)
-		}
-		if derr := gw.Mutate(p, s.chunkPoolFor(old.Cold), old.ChunkID, fn); derr != nil && !errors.Is(derr, ErrNotFound) {
-			return derr
-		}
-	}
-	return nil
+	return err
 }
 
 // rededupObject demotes a hot-form object: clean cached-only slots are
@@ -174,11 +154,7 @@ func (s *Store) rededupObject(p *sim.Proc, gw *rados.Gateway, oid string, ps *Ti
 		return err
 	}
 	ps.Rededups++
-	return retryUnavailable(p, func() error {
-		return gw.Mutate(p, s.meta, s.dirtyListOID(oid), func(rados.View) (*store.Txn, error) {
-			return store.NewTxn().Create().OmapSet(oid, nil), nil
-		})
-	})
+	return s.engine.requeueDirty(p, gw, oid)
 }
 
 // evictObject drops the hot-time cached copies of an already-deduplicated
@@ -248,93 +224,42 @@ func (s *Store) migrateObjectChunks(p *sim.Proc, gw *rados.Gateway, oid string, 
 	return moved, nil
 }
 
-// migrateChunk moves one binding between chunk pools with the same
-// two-phase, intent-logged reference update as the flush:
-//
-//	phase 1  record a reference intent on the destination pool's chunk
-//	         (creating it from the source copy if absent) with a lease;
-//	phase 2  flip the binding's Cold bit in the chunk map — unless a client
-//	         write raced — making the destination authoritative;
-//	phase 3  commit the intent, then de-reference the source pool's chunk.
-//
-// Crash after 1: no binding points at the destination; the intent expires
-// and GC/audit abort it. Crash after 2: the binding exists, the reference
-// is an expired intent; audit promotes it, and the source chunk's now-dead
-// reference (its binding points at the other pool) is swept by GC. Crash
-// mid-3: commit is idempotent; the stale source reference is GC'd. The same
-// fingerprint may transiently exist in both pools — each pool's copy has
-// its own reference table, and refLiveness judges each against the Cold bit.
+// migrateChunk moves one binding between chunk pools through the
+// reference transfer protocol (rebind.go): an intent on the destination
+// pool's chunk (created from the source copy if absent), a bind that flips
+// the slot's Cold bit unless a client write raced, then commit and release
+// of the source pool's reference. The same fingerprint may transiently
+// exist in both pools — each pool's copy has its own reference table, and
+// refLiveness judges each against the Cold bit.
 func (s *Store) migrateChunk(p *sim.Proc, gw *rados.Gateway, oid string, entry Entry, toCold bool) (raced bool, err error) {
-	src := s.chunkPoolFor(entry.Cold)
-	dst := s.chunkPoolFor(toCold)
-	data, err := gw.Read(p, src, entry.ChunkID, 0, entry.Len())
+	src := s.bindingOf(oid, entry)
+	data, err := gw.Read(p, src.pool, entry.ChunkID, 0, entry.Len())
 	if err != nil {
 		return false, err
 	}
 	if int64(len(data)) < entry.Len() {
 		data = append(data, make([]byte, entry.Len()-int64(len(data)))...)
 	}
-	ref := Ref{Pool: s.meta.ID, OID: oid, Offset: entry.Start}
-
-	// Phase 1: intent + chunk write on the destination pool.
-	var intent intentOutcome
-	if err := gw.MutateWithPayload(p, dst, entry.ChunkID, len(data), putIntentFn(data, ref, s.engine.leaseExpiry(p), &intent)); err != nil {
+	rb := s.newRebind(gw, oid)
+	if err := rb.put(p, chunkRef{pool: s.chunkPoolFor(toCold), id: entry.ChunkID, ref: src.ref}, data); err != nil {
 		return false, err
 	}
-	if s.tier.hookAfterIntent != nil && s.tier.hookAfterIntent(oid, entry) {
-		return false, errCrash // intent expires; GC/audit abort it
-	}
-
-	// Phase 2: flip the Cold bit — only if the slot is exactly as observed.
-	raced = false
-	err = gw.Mutate(p, s.meta, oid, func(v rados.View) (*store.Txn, error) {
+	bound, err := rb.bind(p, 0, func(v rados.View) (*store.Txn, bool, []chunkRef, error) {
 		cur, err := loadChunkMap(v)
 		if err != nil {
-			return nil, err
+			return nil, false, nil, err
 		}
 		i := cur.Find(entry.Start)
 		if i < 0 {
-			raced = true
-			return nil, nil
+			return nil, true, nil, nil
 		}
 		cs := cur.Entries[i]
 		if cs.Gen != entry.Gen || cs.ChunkID != entry.ChunkID || cs.Cold != entry.Cold || cs.Dirty {
-			raced = true // newer write or concurrent re-flush; leave it be
-			return nil, nil
+			return nil, true, nil, nil // newer write or concurrent re-flush; leave it be
 		}
 		cs.Cold = toCold
 		cur.Entries[i] = cs
-		return store.NewTxn().SetXattr(XattrChunkMap, cur.Marshal()), nil
+		return store.NewTxn().SetXattr(XattrChunkMap, cur.Marshal()), false, []chunkRef{src}, nil
 	})
-	if err != nil || raced {
-		// Roll phase 1 back: the binding still names the source pool, so the
-		// destination intent must not become a reference. Best-effort — a
-		// lost abort is reconciled at lease expiry.
-		if !intent.committed {
-			if aerr := gw.Mutate(p, dst, entry.ChunkID, abortIntentFn(ref, !s.cfg.FalsePositiveRefs)); aerr != nil && !errors.Is(aerr, ErrNotFound) && err == nil {
-				return raced, aerr
-			}
-		}
-		return raced, err
-	}
-	if s.tier.hookAfterBind != nil && s.tier.hookAfterBind(oid, entry) {
-		return false, errCrash // audit promotes the intent; GC sweeps the source ref
-	}
-
-	// Phase 3: commit the destination reference, then drop the source one.
-	if !intent.committed {
-		if cerr := retryUnavailable(p, func() error {
-			return gw.Mutate(p, dst, entry.ChunkID, commitIntentFn(ref))
-		}); cerr != nil && !errors.Is(cerr, ErrNotFound) {
-			return false, cerr
-		}
-	}
-	fn := decRefFn(ref)
-	if s.cfg.FalsePositiveRefs {
-		fn = dropRefFn(ref)
-	}
-	if derr := gw.Mutate(p, src, entry.ChunkID, fn); derr != nil && !errors.Is(derr, ErrNotFound) {
-		return false, derr
-	}
-	return false, nil
+	return !bound && err == nil, err
 }

@@ -24,9 +24,10 @@ test:
 	go test ./...
 
 # Concurrency-sensitive packages under the race detector (includes the
-# experiment harness's worker pool and the chaos kill-schedule scenarios).
+# experiment harness's worker pool, the chaos kill-schedule scenarios and
+# the workload generator's pooled sources).
 race:
-	go test -race ./internal/metrics ./internal/sim ./internal/qos ./internal/gateway ./internal/fpindex ./internal/hitset ./internal/tiering ./internal/rados ./internal/core ./internal/chaos ./internal/harness ./internal/experiments
+	go test -race ./internal/metrics ./internal/sim ./internal/qos ./internal/gateway ./internal/fpindex ./internal/hitset ./internal/tiering ./internal/rados ./internal/core ./internal/chaos ./internal/harness ./internal/experiments ./internal/workload
 
 # Every internal package must ship tests.
 check-tests:
@@ -35,11 +36,12 @@ check-tests:
 bench:
 	go test -bench=. -benchmem
 
-# Kernel hot-path microbenchmarks: the DES engine and the metrics/trace
-# primitives every simulated I/O passes through. CI runs these so dispatch
-# cost and allocs/op regressions show up in review.
+# Kernel hot-path microbenchmarks: the DES engine, the metrics/trace
+# primitives every simulated I/O passes through, and the workload content
+# generator every written block comes from. CI runs these so dispatch cost,
+# generator cost and allocs/op regressions show up in review.
 kernel-bench:
-	go test -run NONE -bench=. -benchmem ./internal/sim ./internal/metrics
+	go test -run NONE -bench=. -benchmem ./internal/sim ./internal/metrics ./internal/workload
 
 # CPU + heap profile of the golden sweep — the kernel's real workload.
 # Inspect with `go tool pprof profiles/sweep.cpu.pprof`.
@@ -74,9 +76,11 @@ bench-compare:
 	sh scripts/bench-compare.sh results/BENCH_baseline.json results/BENCH_pr.json
 
 # Fuzz smoke: 30s per fuzz target over the parsers that guard on-disk and
-# operator input (ref keys, chunk maps, SLO specs). Regression corpora run
-# in `make test`; this step searches for new inputs.
+# operator input (ref keys, chunk maps, SLO specs) and the content
+# generator's byte stream against math/rand. Regression corpora run in
+# `make test`; this step searches for new inputs.
 fuzz-smoke:
 	go test -run NONE -fuzz FuzzRefKeyRoundTrip -fuzztime 30s ./internal/core
 	go test -run NONE -fuzz FuzzChunkMapRoundTrip -fuzztime 30s ./internal/core
 	go test -run NONE -fuzz FuzzParseSLO -fuzztime 30s ./internal/gateway
+	go test -run NONE -fuzz FuzzFillRandom -fuzztime 30s ./internal/workload

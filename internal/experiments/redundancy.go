@@ -10,6 +10,7 @@ import (
 	"dedupstore/internal/metrics"
 	"dedupstore/internal/rados"
 	"dedupstore/internal/sim"
+	"dedupstore/internal/workload"
 )
 
 // The redundancy experiment maps the storage-efficiency vs tail-latency
@@ -91,7 +92,7 @@ func (wl redundancyWorkload) objectData(i int) []byte {
 			}
 			seed = int64(2_000_000 + ((i-wl.hot)*chunks+c)%pool)
 		}
-		rand.New(rand.NewSource(seed)).Read(data[int64(c)*wl.chunkSz : int64(c+1)*wl.chunkSz])
+		workload.FillRandom(data[int64(c)*wl.chunkSz:int64(c+1)*wl.chunkSz], seed)
 	}
 	return data
 }

@@ -128,7 +128,7 @@ func (g *CloudGen) ObjectContent(idx int) []byte {
 				g.midPool.Block(rng.Int63n(64), dst[u*32768:(u+1)*32768])
 			}
 		default:
-			fillRandom(dst, cfg.Seed+int64(idx)*131071+s)
+			FillRandom(dst, cfg.Seed+int64(idx)*131071+s)
 		}
 	}
 	return out

@@ -8,19 +8,21 @@ package workload
 import (
 	"encoding/binary"
 	"math/rand"
+	"sync"
 )
 
-// fillRandom fills buf with seeded pseudo-random (incompressible) bytes.
-func fillRandom(buf []byte, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	// rand.Read never errors.
-	rng.Read(buf)
-}
+// compressibleSources are fillCompressible's generator states. rand.New
+// holds its source as an interface, so a per-call source would escape to
+// the heap; the pool reuses one instead, reseeded per block.
+var compressibleSources = sync.Pool{New: func() any { return new(source) }}
 
 // fillCompressible fills buf with text-like content that DEFLATE compresses
 // to roughly half: a pattern of repeated words keyed by the seed.
 func fillCompressible(buf []byte, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
+	src := compressibleSources.Get().(*source)
+	defer compressibleSources.Put(src)
+	src.Seed(seed)
+	rng := rand.New(src)
 	words := []string{"config", "kernel", "libexec", "update", "package", "service", "systemd", "default"}
 	pos := 0
 	for pos < len(buf) {
@@ -54,10 +56,12 @@ func NewBlockPool(blockSize int, seed int64, compressible bool) *BlockPool {
 
 // Block materializes pool block idx into buf (len must equal blockSize).
 func (bp *BlockPool) Block(idx int64, buf []byte) {
-	s := bp.seed*1000003 + idx
 	if bp.comp {
-		fillCompressible(buf, s)
+		fillCompressible(buf, bp.seedOf(idx))
 	} else {
-		fillRandom(buf, s)
+		FillRandom(buf, bp.seedOf(idx))
 	}
 }
+
+// seedOf returns the content seed of pool block idx.
+func (bp *BlockPool) seedOf(idx int64) int64 { return bp.seed*1000003 + idx }

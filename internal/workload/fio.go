@@ -131,7 +131,7 @@ func (g *FIOGen) NextBlock() []byte {
 		g.extendPlan()
 	}
 	buf := make([]byte, g.cfg.BlockSize)
-	fillRandom(buf, g.plan[g.counter])
+	FillRandom(buf, g.plan[g.counter])
 	g.counter++
 	return buf
 }

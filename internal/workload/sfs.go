@@ -79,7 +79,7 @@ const (
 // SFSGen produces extent/page contents for one cluster-wide SFS dataset.
 type SFSGen struct {
 	cfg  SFSConfig
-	pool *BlockPool // 32K shared extents
+	pool *BlockPool // 32K shared extents (incompressible: Page relies on it)
 	n    int64      // pool size in extents
 	rng  *rand.Rand
 	uniq int64
@@ -106,7 +106,7 @@ func (g *SFSGen) Extent() []byte {
 	buf := make([]byte, extentSize)
 	if g.rng.Float64() < sfsUniqueFrac {
 		g.uniq++
-		fillRandom(buf, g.cfg.Seed*104729+g.uniq)
+		FillRandom(buf, g.cfg.Seed*104729+g.uniq)
 	} else {
 		g.pool.Block(g.rng.Int63n(g.n), buf)
 	}
@@ -114,18 +114,19 @@ func (g *SFSGen) Extent() []byte {
 }
 
 // Page returns an 8K page for random overwrites: one quarter of a pool
-// extent, so most overwrites keep the dataset dedupable.
+// extent, so most overwrites keep the dataset dedupable. Only that quarter
+// is materialized; the extent's stream is advanced past the ones before it.
 func (g *SFSGen) Page() []byte {
+	buf := make([]byte, g.cfg.PageSize)
 	if g.rng.Float64() < sfsUniqueFrac {
 		g.uniq++
-		buf := make([]byte, g.cfg.PageSize)
-		fillRandom(buf, g.cfg.Seed*104729+g.uniq)
+		FillRandom(buf, g.cfg.Seed*104729+g.uniq)
 		return buf
 	}
-	ext := make([]byte, extentSize)
-	g.pool.Block(g.rng.Int63n(g.n), ext)
+	idx := g.rng.Int63n(g.n)
 	q := g.rng.Int63n(extentSize / g.cfg.PageSize)
-	return ext[q*g.cfg.PageSize : (q+1)*g.cfg.PageSize]
+	fillRandomAt(buf, g.pool.seedOf(idx), int(q*g.cfg.PageSize))
+	return buf
 }
 
 // SFSOpMix is the database workload's operation mix: predominantly random
@@ -276,7 +277,7 @@ func RunSFS(p *sim.Proc, dev *client.BlockDevice, cfg SFSConfig) SFSResult {
 					default:
 						logSize := 64 << 10
 						buf := make([]byte, logSize)
-						fillRandom(buf, cfg.Seed+op.at.Duration().Nanoseconds()+int64(u))
+						FillRandom(buf, cfg.Seed+op.at.Duration().Nanoseconds()+int64(u))
 						if err := dev.WriteAt(q, op.off, buf); err != nil {
 							res.Errors++
 						} else {

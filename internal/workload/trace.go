@@ -146,7 +146,7 @@ func ReplayTrace(p *sim.Proc, dev *client.BlockDevice, ops []TraceOp, timeScale 
 				opStart := q.Now()
 				if op.Write {
 					buf := make([]byte, op.Length)
-					fillRandom(buf, op.Seed)
+					FillRandom(buf, op.Seed)
 					if err := dev.WriteAt(q, op.Offset, buf); err != nil {
 						res.Errors++
 						continue
